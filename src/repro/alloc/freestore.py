@@ -18,9 +18,9 @@ restricted policy's region ring scans skip empty regions in O(1) instead
 of bisecting into every region.
 
 Every allocation decision is bit-identical to the retained reference
-implementation in :mod:`repro.alloc.reference` (the pre-rewrite circular
-DLL + dict + bisect-index triple); the differential property tests in
-``tests/alloc/test_differential.py`` drive both through identical
+implementation kept with the tests as ``tests/oracles/reference.py`` (the
+pre-rewrite circular DLL + dict + bisect-index triple); the differential
+property tests in ``tests/alloc/test_differential.py`` drive both through identical
 operation sequences and require identical answers and snapshots at every
 step.
 """
@@ -123,12 +123,6 @@ class FreeBlockList:
         if index < len(items) and items[index] < high:
             return items[index]
         return None
-
-    def count_in_range(self, low: int, high: int) -> int:
-        """Number of free addresses in ``[low, high)``."""
-        items = self._items
-        lo = bisect_left(items, low)
-        return bisect_left(items, high, lo) - lo
 
     def addresses(self) -> list[int]:
         """All free addresses in order."""

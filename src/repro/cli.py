@@ -27,6 +27,7 @@ import argparse
 import cProfile
 import io
 import json
+import os
 import pstats
 import sys
 import time
@@ -281,14 +282,42 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one performance-experiment point: cProfile + engine counters.
+#: Directory holding the ``repro`` package.
+_SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + "/"
 
-    Prints three sections: the engine's own per-subsystem event/time
-    breakdown (:class:`repro.sim.engine.SimProfile`), the scheduler
-    counters (events/sec, pending, lazy-compaction count), and cProfile's
-    hottest functions.  This is a diagnostic command — output contains
-    wall-clock timings and is not byte-stable between runs.
+
+def self_time_by_module(stats: pstats.Stats) -> dict[str, dict[str, float]]:
+    """Self time and call counts per module from one cProfile table.
+
+    Each function's own time (cProfile's ``tottime``) goes to the module
+    that defines it, so the disk, allocator, file-system and workload
+    layers are charged what they spend themselves, not what the engine
+    callback that started the chain spent.  Standard-library and builtin
+    functions form one ``<other>`` row.
+    """
+    rows: dict[str, dict[str, float]] = {}
+    for (filename, _, _), (_, calls, self_s, _, _) in stats.stats.items():
+        path = os.path.abspath(filename)
+        module = "<other>"
+        if path.startswith(_SRC_ROOT) and path.endswith(".py"):
+            dotted = path[len(_SRC_ROOT):-3].replace("/", ".")
+            module = dotted.removesuffix(".__init__")
+        row = rows.setdefault(module, {"calls": 0, "self_s": 0.0})
+        row["calls"] += calls
+        row["self_s"] += self_s
+    return dict(sorted(rows.items()))
+
+
+def cmd_profile(args: argparse.Namespace) -> int:
+    """Profile one performance-experiment point under cProfile.
+
+    Prints three sections: cProfile's self time and call counts summed
+    per module (:func:`self_time_by_module` -- ``repro.disk.queue``,
+    ``repro.fs.filesystem``, ..., plus ``<other>`` for the standard
+    library and builtins), the scheduler counters (events/sec, pending,
+    lazy-compaction count), and cProfile's hottest functions.  This is a
+    diagnostic command — output contains wall-clock timings and is not
+    byte-stable between runs.
     """
     system = SystemConfig(scale=args.scale)
     policy = make_policy(args.policy, args.workload, args)
@@ -299,7 +328,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     def factory() -> Simulator:
         sim = Simulator()
-        sim.enable_profiling()
         sims.append(sim)
         return sim
 
@@ -315,6 +343,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     profiler.disable()
     wall_s = time.perf_counter() - started
     sim = sims[0]
+    stream = io.StringIO()
+    stats = pstats.Stats(profiler, stream=stream)
+    subsystems = self_time_by_module(stats)
 
     if args.json:
         document = {
@@ -327,7 +358,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "compactions": sim.compactions,
             "application_percent": result.application.percent,
             "sequential_percent": result.sequential.percent,
-            "subsystems": sim.profile.as_dict(),
+            "subsystems": subsystems,
         }
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
@@ -344,16 +375,22 @@ def cmd_profile(args: argparse.Namespace) -> int:
         f"sequential {result.sequential.percent:.1f}% of max bandwidth"
     )
     print()
-    print("-- engine: per-subsystem event/time breakdown --")
-    print(sim.profile.render())
+    print("-- per-subsystem event/time breakdown (self time by module) --")
+    total_s = sum(row["self_s"] for row in subsystems.values()) or 1.0
+    print(f"{'subsystem':32s} {'calls':>12s} {'self s':>10s} {'%':>6s}")
+    for module, row in sorted(
+        subsystems.items(), key=lambda item: item[1]["self_s"], reverse=True
+    ):
+        print(
+            f"{module:32s} {row['calls']:>12,d} {row['self_s']:>10.3f} "
+            f"{100.0 * row['self_s'] / total_s:>6.1f}"
+        )
     print()
     limit = args.limit if args.limit is not None else args.top
     label = (
         "internal time" if args.sort == "tottime" else "cumulative time"
     )
     print(f"-- cProfile: top {limit} functions by {label} --")
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats(args.sort).print_stats(limit)
     print(stream.getvalue().rstrip())
     return 0
@@ -733,7 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="profile one perf point: cProfile + engine subsystem counters",
+        help="profile one perf point: cProfile self time per module "
+             "+ engine counters",
     )
     add_base(profile)
     add_policy(profile)
@@ -750,8 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--top", type=int, default=12,
                          help="cProfile rows to print")
     profile.add_argument("--json", action="store_true",
-                         help="print engine counters and the per-subsystem "
-                              "breakdown as JSON (no cProfile text)")
+                         help="print engine counters and the per-module "
+                              "self-time split as JSON (no cProfile text)")
     profile.set_defaults(func=cmd_profile)
 
     trace = sub.add_parser(

@@ -53,6 +53,10 @@ class ServeDaemon(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    #: Listen backlog.  socketserver's default of 5 resets connections
+    #: when a burst of clients (the dedup drill sends 31 at once) arrives
+    #: faster than the accept loop spawns handler threads.
+    request_queue_size = 128
 
     def __init__(
         self,

@@ -30,13 +30,20 @@ order — see ``docs/MODEL.md`` — and can be disabled with
 ``Simulator(immediate_queue=False)`` to fall back to the reference
 pure-heap scheduler, which fires the exact same events in the exact same
 order.
+
+:meth:`Simulator.run` has two loops: the fused default loop, which
+consults nothing per event, and the observer loop taken when an invariant
+auditor is attached.  The engine keeps no profiler of its own; ``repro
+profile`` runs the default loop under cProfile and splits its self time
+by the module that spends it, so disk, allocator, file-system and
+workload time are charged to their own layers rather than to the engine
+callback that started the chain.
 """
 
 from __future__ import annotations
 
-import time as _time
 from heapq import heappop as _heappop
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from ..errors import SimulationError
 from .events import Event, EventHeap
@@ -210,68 +217,6 @@ class Process(Waitable):
         return f"<Process {self.name} {state}>"
 
 
-class SimProfile:
-    """Per-subsystem event counts and wall-clock time.
-
-    Populated by :meth:`Simulator.run` when profiling is enabled: each
-    executed event is attributed to the module that defined its callback
-    (``repro.disk.queue``, ``repro.sim.engine``, ...), giving a live
-    breakdown of where simulation wall-clock time goes without external
-    tooling.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self) -> None:
-        #: module name -> [events executed, wall seconds in callbacks]
-        self.data: dict[str, list[float]] = {}
-
-    def record(self, callback: Callable[..., Any], seconds: float) -> None:
-        """Attribute one executed event to the callback's module."""
-        module = getattr(callback, "__module__", None) or "<unknown>"
-        entry = self.data.get(module)
-        if entry is None:
-            entry = self.data[module] = [0, 0.0]
-        entry[0] += 1
-        entry[1] += seconds
-
-    @property
-    def total_events(self) -> int:
-        """Events recorded across all subsystems."""
-        return int(sum(entry[0] for entry in self.data.values()))
-
-    @property
-    def total_seconds(self) -> float:
-        """Wall-clock seconds spent inside event callbacks."""
-        return sum(entry[1] for entry in self.data.values())
-
-    def as_dict(self) -> dict[str, dict[str, float]]:
-        """JSON-safe snapshot: ``{subsystem: {"events": n, "seconds": s}}``."""
-        return {
-            name: {"events": int(n), "seconds": s}
-            for name, (n, s) in sorted(self.data.items())
-        }
-
-    def rows(self) -> list[tuple[str, int, float]]:
-        """(subsystem, events, seconds) rows, most expensive first."""
-        return sorted(
-            ((name, int(n), s) for name, (n, s) in self.data.items()),
-            key=lambda row: row[2],
-            reverse=True,
-        )
-
-    def render(self) -> str:
-        """Human-readable table of the per-subsystem breakdown."""
-        lines = [f"{'subsystem':32s} {'events':>12s} {'seconds':>10s}"]
-        for name, events, seconds in self.rows():
-            lines.append(f"{name:32s} {events:>12,d} {seconds:>10.3f}")
-        lines.append(
-            f"{'total':32s} {self.total_events:>12,d} "
-            f"{self.total_seconds:>10.3f}"
-        )
-        return "\n".join(lines)
-
-
 class Simulator:
     """The simulation clock and scheduler.
 
@@ -283,8 +228,6 @@ class Simulator:
 
     Attributes:
         now: current simulated time in milliseconds.
-        profile: a :class:`SimProfile` when profiling is enabled
-            (:meth:`enable_profiling`), else None.
     """
 
     def __init__(self, immediate_queue: bool = True) -> None:
@@ -292,7 +235,6 @@ class Simulator:
         self._heap = EventHeap()
         self._stopped = False
         self._events_executed = 0
-        self._immediate_enabled = immediate_queue
         # Bound once: the zero-delay scheduling primitive.  With the fast
         # path disabled every "immediate" event goes through the heap at
         # the current time, which fires the same events in the same order.
@@ -301,7 +243,6 @@ class Simulator:
         else:
             self._push_immediate = self._heap.push
         self._push_timer = self._heap.push
-        self.profile: SimProfile | None = None
         #: Observability attachment points (:mod:`repro.obs`).  ``None``
         #: (the default) is the disabled fast path: instrumented
         #: subsystems guard every recording behind an ``is not None``
@@ -404,10 +345,22 @@ class Simulator:
         :meth:`stop` is called from inside an event.
         """
         self._stopped = False
-        if self.profile is not None:
-            return self._run_profiled(until, stop_when)
-        if self.auditor is not None:
-            return self._run_audited(until, stop_when)
+        if self.auditor is None:
+            self._run_fused(until, stop_when)
+        else:
+            self._run_audited(until, stop_when)
+        if until is not None and not self._stopped:
+            if len(self._heap) > 0:
+                self.now = until  # next event lies beyond the horizon
+            else:
+                self.now = max(self.now, until)
+
+    def _run_fused(
+        self,
+        until: float | None,
+        stop_when: Callable[[], bool] | None,
+    ) -> None:
+        """The default run loop, with no per-event instrumentation."""
         heap = self._heap
         # The two event queues, aliased for the duration of the loop.
         # EventHeap._compact mutates the heap list in place, so these
@@ -460,6 +413,7 @@ class Simulator:
                 event.callback(self, *event.args)
                 executed += 1
                 if stop_when is not None and stop_when():
+                    self._stopped = True
                     return
         finally:
             # Nothing in the simulation reads these mid-run; batching the
@@ -470,55 +424,19 @@ class Simulator:
             # list, not the live count.)
             self._events_executed += executed
             heap._live -= executed
-        if until is not None and not self._stopped:
-            if len(heap) > 0:
-                self.now = until  # next event lies beyond the horizon
-            else:
-                self.now = max(self.now, until)
-
-    def _run_profiled(
-        self,
-        until: float | None,
-        stop_when: Callable[[], bool] | None,
-    ) -> None:
-        """The run loop with per-subsystem accounting (see :class:`SimProfile`)."""
-        heap = self._heap
-        profile = self.profile
-        perf_counter = _time.perf_counter
-        while not self._stopped:
-            event = heap.pop_next(until)
-            if event is None:
-                break
-            if event.time < self.now:
-                raise SimulationError(
-                    "event heap returned an event in the past"
-                )
-            self.now = event.time
-            callback = event.callback
-            started = perf_counter()
-            callback(self, *event.args)
-            profile.record(callback, perf_counter() - started)
-            self._events_executed += 1
-            if stop_when is not None and stop_when():
-                return
-        if until is not None and not self._stopped:
-            if len(heap) > 0:
-                self.now = until
-            else:
-                self.now = max(self.now, until)
 
     def _run_audited(
         self,
         until: float | None,
         stop_when: Callable[[], bool] | None,
     ) -> None:
-        """The run loop with per-event invariant/fingerprint sweeping.
+        """The observer run loop: per-event invariant/fingerprint sweeping.
 
-        Structured like :meth:`_run_profiled`: one event per
-        ``pop_next`` with the auditor consulted after each callback.
-        The auditor decides internally whether this event lands on its
-        sweep cadence, so most events cost one method call.  Fires the
-        exact same event sequence as the fused loop.
+        One event per :meth:`EventHeap.pop_next` with the auditor
+        consulted after each callback.  The auditor decides internally
+        whether this event lands on its sweep cadence, so most events
+        cost one method call.  Fires the exact same event sequence as the
+        fused loop.
         """
         heap = self._heap
         auditor = self.auditor
@@ -535,26 +453,12 @@ class Simulator:
             self._events_executed += 1
             auditor.after_event(self)
             if stop_when is not None and stop_when():
+                self._stopped = True
                 return
-        if until is not None and not self._stopped:
-            if len(heap) > 0:
-                self.now = until
-            else:
-                self.now = max(self.now, until)
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
-
-    def enable_profiling(self) -> SimProfile:
-        """Attach (or return the existing) per-subsystem profile.
-
-        Profiling adds two clock reads per event, so leave it off for
-        measurement runs; results are unaffected either way.
-        """
-        if self.profile is None:
-            self.profile = SimProfile()
-        return self.profile
 
     @property
     def pending_events(self) -> int:
@@ -570,11 +474,3 @@ class Simulator:
     def compactions(self) -> int:
         """Lazy heap compactions performed (cancel-heavy workloads)."""
         return self._heap.compactions
-
-    # -- convenience ------------------------------------------------------
-
-    def run_all(self, processes: Iterable[ProcessGenerator]) -> None:
-        """Start every generator as a process, then run to completion."""
-        for generator in processes:
-            self.process(generator)
-        self.run()

@@ -10,8 +10,7 @@ matters):
 
 * The heap stores ``(time, seq, event)`` tuples, not :class:`Event`
   objects.  ``seq`` is unique, so heap comparisons always resolve on the
-  first two tuple slots in C — ``Event.__lt__`` is kept for API
-  compatibility but never called by the heap.
+  first two tuple slots in C and never compare events themselves.
 * Zero-delay events (waitable resumptions, already-done yields) go through
   a FIFO *immediate queue* instead of the heap.  Every immediate event
   carries the current simulated time and a globally increasing ``seq``, so
@@ -19,8 +18,9 @@ matters):
   exactly the order a single heap would produce — see
   ``docs/MODEL.md`` ("Engine hot path and determinism guarantees").
 * Cancelled events are discarded lazily: entries at the front are dropped
-  during ``pop``/``peek``, and when mid-heap garbage passes a threshold the
-  heap is compacted in one O(n) pass (``compactions`` counts these).
+  when the next event is retrieved, and when mid-heap garbage passes a
+  threshold the heap is compacted in one O(n) pass (``compactions``
+  counts these).
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ class Event:
         """Mark the event so the engine discards it instead of firing it."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = " cancelled" if self.cancelled else ""
         name = getattr(self.callback, "__name__", repr(self.callback))
@@ -80,8 +77,8 @@ class EventHeap:
 
     ``push`` inserts a timer event into the heap; ``push_immediate``
     appends a zero-delay event (at the caller's *current* time) to the
-    FIFO.  ``pop_next`` merges the two by ``(time, seq)``, which is the
-    engine's single fused "what fires next" operation.
+    FIFO.  ``pop_next`` merges the two by ``(time, seq)``; it is the single
+    retrieval primitive, and the engine's fused run loop inlines it.
     """
 
     def __init__(self) -> None:
@@ -143,8 +140,7 @@ class EventHeap:
         """Remove and return the next live event in ``(time, seq)`` order.
 
         Returns None when no live event remains, or when the next one is
-        scheduled strictly after ``until`` (that event stays queued).  This
-        fuses the engine's former ``peek_time()`` + ``pop()`` pair into a
+        scheduled strictly after ``until`` (that event stays queued), in a
         single pass over the queue heads.
         """
         heap = self._heap
@@ -178,35 +174,6 @@ class EventHeap:
         event = heapq.heappop(heap)[2]
         self._live -= 1
         return event
-
-    def pop(self) -> Event:
-        """Remove and return the earliest non-cancelled event.
-
-        Raises:
-            SimulationError: when no live events remain.
-        """
-        event = self.pop_next()
-        if event is None:
-            raise SimulationError("pop from empty event heap")
-        return event
-
-    def peek_time(self) -> float | None:
-        """Return the time of the next live event, or None when empty."""
-        heap = self._heap
-        immediate = self._immediate
-        while immediate and immediate[0].cancelled:
-            immediate.popleft()
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._garbage -= 1
-        if immediate:
-            front = immediate[0]
-            if heap and heap[0][0] < front.time:
-                return heap[0][0]
-            return front.time
-        if not heap:
-            return None
-        return heap[0][0]
 
     def live_events(self) -> list[Event]:
         """Snapshot every live (non-cancelled) event in firing order.

@@ -237,22 +237,25 @@ def replay_trace(sim: Simulator, fs: FileSystem, trace: Trace) -> ReplayResult:
     their recorded timestamps (never early; an op whose predecessor on the
     same file is still running waits for it — per-file ordering is
     preserved, cross-file operations overlap as they did in the source).
+    On a full disk every failed allocation, including a file that could
+    not be created, counts in ``disk_full_events``; events on such a file
+    count there too, so ``operations`` always equals the number of events.
     """
     result = ReplayResult()
     files: dict[str, FsFile] = {}
-    hints: dict[str, tuple[int, int]] = {}
+    hints: dict[str, int] = {}
     for entry in trace.initial:
-        fs_file = fs.create(
-            size_hint_bytes=entry.allocation_hint_bytes, tag=entry.key
-        )
+        hints[entry.key] = entry.allocation_hint_bytes
         try:
+            # A file the disk has no room to create stays out of ``files``.
+            files[entry.key] = fs_file = fs.create(
+                size_hint_bytes=entry.allocation_hint_bytes, tag=entry.key
+            )
             fs.allocate_to(
                 fs_file, entry.size_bytes, step_bytes=entry.step_bytes or None
             )
         except DiskFullError:
             result.disk_full_events += 1
-        files[entry.key] = fs_file
-        hints[entry.key] = (entry.allocation_hint_bytes, entry.step_bytes)
 
     busy_until: dict[str, float] = {}
 
@@ -262,32 +265,36 @@ def replay_trace(sim: Simulator, fs: FileSystem, trace: Trace) -> ReplayResult:
             yield delay
         fs_file = files.get(event.key)
         if fs_file is None:
-            return
-        try:
-            if event.op == "read":
-                n = yield from fs.read(fs_file, event.offset_bytes or 0,
-                                       event.size_bytes)
-                result.bytes_read += n
-            elif event.op == "write":
-                n = yield from fs.write(fs_file, event.offset_bytes or 0,
-                                        event.size_bytes)
-                result.bytes_written += n
-            elif event.op == "extend":
-                n = yield from fs.extend(fs_file, event.size_bytes)
-                result.bytes_written += n
-            elif event.op == "truncate":
-                fs.truncate(fs_file, event.size_bytes)
-            elif event.op == "delete":
-                fs.delete(fs_file)
-                hint, step = hints[event.key]
-                replacement = fs.create(size_hint_bytes=hint, tag=event.key)
-                files[event.key] = replacement
-                n = yield from fs.write(replacement, 0, event.size_bytes)
-                result.bytes_written += n
-            else:
-                raise ConfigurationError(f"unknown trace op {event.op!r}")
-        except DiskFullError:
+            # The disk was full when this file had to be (re)created.
             result.disk_full_events += 1
+        else:
+            try:
+                if event.op == "read":
+                    n = yield from fs.read(fs_file, event.offset_bytes or 0,
+                                           event.size_bytes)
+                    result.bytes_read += n
+                elif event.op == "write":
+                    n = yield from fs.write(fs_file, event.offset_bytes or 0,
+                                            event.size_bytes)
+                    result.bytes_written += n
+                elif event.op == "extend":
+                    n = yield from fs.extend(fs_file, event.size_bytes)
+                    result.bytes_written += n
+                elif event.op == "truncate":
+                    fs.truncate(fs_file, event.size_bytes)
+                elif event.op == "delete":
+                    fs.delete(fs_file)
+                    del files[event.key]
+                    replacement = fs.create(
+                        size_hint_bytes=hints[event.key], tag=event.key
+                    )
+                    files[event.key] = replacement
+                    n = yield from fs.write(replacement, 0, event.size_bytes)
+                    result.bytes_written += n
+                else:
+                    raise ConfigurationError(f"unknown trace op {event.op!r}")
+            except DiskFullError:
+                result.disk_full_events += 1
         result.operations += 1
         result.lag_ms_total += max(0.0, sim.now - event.time_ms)
 

@@ -2,6 +2,7 @@
 overload responses, and the chaos endpoint gate."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -260,3 +261,24 @@ class TestHealth:
         assert status == 200
         assert stats["budget"] == server.service.max_queue
         assert "supervision" in stats
+
+
+class TestListenBacklog:
+    def test_connection_burst_queues_before_accept(self, tmp_path):
+        # The accept loop is not running: every connection must wait in
+        # the listen backlog.  A burst as large as the chaos dedup drill's
+        # completes its handshake instead of timing out or being reset.
+        service = ExperimentService(tmp_path / "state", work_fn=scripted_work)
+        daemon = make_daemon(service, port=0)
+        clients = []
+        try:
+            for _ in range(32):
+                client = socket.create_connection(
+                    daemon.server_address[:2], timeout=2.0
+                )
+                clients.append(client)
+        finally:
+            for client in clients:
+                client.close()
+            daemon.server_close()
+        assert len(clients) == 32

@@ -299,48 +299,57 @@ class TestOrderingProperty:
         ]
 
 
-class TestProfiling:
-    def test_profile_attributes_events_to_callback_modules(self):
-        sim = Simulator()
-        sim.enable_profiling()
+class _CountingAuditor:
+    """Stands in for the invariant auditor: counts the events it sees."""
 
-        def tick(s):
-            if s.now < 10.0:
-                s.schedule(1.0, tick)
+    def __init__(self):
+        self.seen = 0
+
+    def after_event(self, sim):
+        self.seen += 1
+
+
+class TestRunLoops:
+    """The fused loop and the audited loop stop and end alike."""
+
+    @pytest.mark.parametrize("audited", [False, True])
+    def test_horizon_advances_clock_past_last_event(self, audited):
+        sim = Simulator()
+        if audited:
+            sim.auditor = _CountingAuditor()
+        sim.schedule(10.0, lambda s: None)
+        sim.schedule(90.0, lambda s: None)
+        sim.run(until=50.0)
+        assert sim.now == 50.0
+        assert sim.pending_events == 1
+        sim.run(until=200.0)
+        assert sim.now == 200.0
+        assert sim.events_executed == 2
+
+    @pytest.mark.parametrize("audited", [False, True])
+    def test_stop_when_leaves_clock_at_last_event(self, audited):
+        sim = Simulator()
+        if audited:
+            sim.auditor = _CountingAuditor()
+        log = []
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, lambda s: log.append(s.now))
+        sim.run(until=100.0, stop_when=lambda: len(log) >= 2)
+        assert log == [1.0, 2.0]
+        assert sim.now == 2.0
+        sim.run(until=100.0)
+        assert log == [1.0, 2.0, 3.0]
+        assert sim.now == 100.0
+
+    def test_attached_auditor_sees_every_event(self):
+        sim = Simulator()
+        sim.auditor = auditor = _CountingAuditor()
 
         def chain():
             for _ in range(4):
                 yield 0.5
 
-        sim.schedule(0.0, tick)
         sim.process(chain())
+        sim.schedule(0.0, lambda s: None)
         sim.run()
-        profile = sim.profile
-        assert profile is not None
-        assert profile.total_events == sim.events_executed
-        assert profile.total_seconds >= 0.0
-        modules = {name for name, _, _ in profile.rows()}
-        # tick lives here; the process trampoline lives in the engine.
-        assert __name__ in modules
-        assert "repro.sim.engine" in modules
-        rendered = profile.render()
-        assert "subsystem" in rendered
-        assert "total" in rendered
-
-    def test_profiled_run_matches_unprofiled_results(self):
-        logs = []
-        for profiled in (False, True):
-            sim = Simulator()
-            if profiled:
-                sim.enable_profiling()
-            log = []
-
-            def pinger(s, n=0):
-                log.append((s.now, n))
-                if n < 50:
-                    s.schedule(0.25 if n % 3 else 0.0, pinger, n + 1)
-
-            sim.schedule(0.0, pinger)
-            sim.run()
-            logs.append((log, sim.events_executed, sim.now))
-        assert logs[0] == logs[1]
+        assert auditor.seen == sim.events_executed > 0

@@ -421,3 +421,25 @@ class TestProfileJson:
         assert document["events_executed"] > 0
         assert "repro.disk.queue" in document["subsystems"]
         assert "cProfile" not in capsys.readouterr().out
+
+    def test_profile_splits_self_time_by_layer_module(self, capsys):
+        import json
+
+        code = main(
+            [
+                "profile", "--workload", "TS", "--scale", "0.03",
+                "--cap-ms", "3000", "--json",
+            ]
+        )
+        assert code == 0
+        subsystems = json.loads(capsys.readouterr().out)["subsystems"]
+        # Work done inside the file system, allocator and workload driver
+        # is charged to those modules, not to the engine event that
+        # started the call chain.
+        assert "repro.workload.driver" in subsystems
+        assert any(name.startswith("repro.fs.") for name in subsystems)
+        assert any(name.startswith("repro.alloc.") for name in subsystems)
+        assert "<other>" in subsystems
+        for row in subsystems.values():
+            assert row["calls"] > 0
+            assert row["self_s"] >= 0.0

@@ -4,6 +4,9 @@ import pytest
 
 from repro.alloc.extent import ExtentAllocator, ExtentSizeConfig, FitPolicy
 from repro.alloc.fixed import FixedBlockAllocator
+from repro.core.comparison import selected_policies
+from repro.core.configs import SystemConfig
+from repro.core.experiments import build_profile
 from repro.disk.array import StripedArray
 from repro.disk.geometry import TINY_DISK
 from repro.errors import ConfigurationError
@@ -130,7 +133,43 @@ class TestReplay:
             replay_trace(sim, fs, trace)
 
     def test_event_on_unknown_file_is_skipped(self):
+        # No I/O is issued, but the event is still accounted for: a file
+        # the replay does not hold is one the disk had no room to create.
         sim, fs = make_fs()
         trace = Trace(events=[TraceEvent(0.0, "read", "ghost", 1024)])
         result = replay_trace(sim, fs, trace)
-        assert result.operations == 0
+        assert result.operations == 1
+        assert result.disk_full_events == 1
+        assert result.bytes_read == 0
+
+
+class TestReplayOnFullDisk:
+    """A trace recorded near capacity replays to the end on every TS
+    contender: population creates that fail, and the events on the files
+    they would have made, count as disk-full events instead of raising."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        return SystemConfig(scale=0.02)
+
+    @pytest.mark.parametrize("fill", [0.75, 0.9])
+    def test_replay_completes_at_high_fill(self, system, fill):
+        trace = record_trace(
+            build_profile("TS", system, fill), duration_ms=2_000, seed=1991
+        )
+        failures = 0
+        for policy in selected_policies("TS"):
+            sim = Simulator()
+            array = system.build_array(sim)
+            allocator = policy.build(
+                array.capacity_units,
+                system.disk_unit_bytes,
+                RandomStream(1991, "trace-replay").fork("alloc"),
+            )
+            fs = FileSystem(sim, array, allocator)
+            result = replay_trace(sim, fs, trace)
+            assert result.operations == len(trace.events), policy.label
+            fs.allocator.check_no_overlap()
+            failures += result.disk_full_events
+        # The regression needs a disk that really fills up.
+        assert failures > 0
